@@ -730,23 +730,31 @@ func BenchmarkFleetEval(b *testing.B) {
 	args := []core.Value{img}
 	var seed int64 // persists across the harness's calibration reruns
 
-	b.Run("router-memo-hit", func(b *testing.B) {
-		c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
-		opts := core.MonteCarlo(samples, 7)
-		if _, _, err := c.Eval("ml_webservice", "handle", args, opts); err != nil {
-			b.Fatal(err) // warm the owner's memo
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, resp, err := c.Eval("ml_webservice", "handle", args, opts)
-			if err != nil {
-				b.Fatal(err)
+	memoHit := func(binary bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			c := eisvc.NewClient(base).TuneTransport(eisvc.TransportTuning{})
+			c.Binary = binary
+			opts := core.MonteCarlo(samples, 7)
+			if _, _, err := c.Eval("ml_webservice", "handle", args, opts); err != nil {
+				b.Fatal(err) // warm the owner's memo
 			}
-			if !resp.Cached {
-				b.Fatal("repeated request missed the fleet memo")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, resp, err := c.Eval("ml_webservice", "handle", args, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !resp.Cached {
+					b.Fatal("repeated request missed the fleet memo")
+				}
 			}
 		}
-	})
+	}
+	b.Run("router-memo-hit", memoHit(false))
+	// The binary case is the fleet's hot path: the router places the frame
+	// without decoding it and the owner answers without materializing args.
+	b.Run("router-memo-hit-binary", memoHit(true))
 	b.Run("peer-forward", func(b *testing.B) {
 		nodes := f.Nodes()
 		warm := eisvc.NewClient(nodes[0].URL).TuneTransport(eisvc.TransportTuning{})

@@ -198,8 +198,9 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Key returns a canonical string key for use in maps (e.g. ECV assignment
-// memoization). Distinct values produce distinct keys for the supported
-// kinds, assuming strings contain no NUL bytes.
+// memoization). Distinct values produce distinct keys — every NaN shares
+// one — because strings and record field names are both length-prefixed
+// ("S<len>:"/"<len>:"), so no byte they hold can imitate key syntax.
 func (v Value) Key() string {
 	var b strings.Builder
 	v.writeKey(&b)
@@ -227,6 +228,8 @@ func (v Value) writeKey(b *strings.Builder) {
 	case KindRecord:
 		b.WriteString("R{")
 		for _, k := range v.FieldNames() {
+			b.WriteString(strconv.Itoa(len(k)))
+			b.WriteString(":")
 			b.WriteString(k)
 			b.WriteString("=")
 			f := v.rec[k]

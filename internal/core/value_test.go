@@ -123,6 +123,31 @@ func TestValueKeyDistinguishes(t *testing.T) {
 	}
 }
 
+// TestValueKeyFieldNamesCannotForgeSyntax is the regression for a key
+// collision: with field names written bare, {x:1, y:2} and {"x=N1;y":2}
+// both keyed as R{x=N1;y=N2;}.
+func TestValueKeyFieldNamesCannotForgeSyntax(t *testing.T) {
+	pairs := [][2]Value{
+		{
+			Record(map[string]Value{"x": Num(1), "y": Num(2)}),
+			Record(map[string]Value{"x=N1;y": Num(2)}),
+		},
+		{
+			Record(map[string]Value{"a": Record(map[string]Value{"b": Num(1)})}),
+			Record(map[string]Value{"a=R{b": Num(1)}),
+		},
+		{
+			List(Record(map[string]Value{"k": Str("v")})),
+			List(Record(map[string]Value{"k=S1:v;}": Nil()})),
+		},
+	}
+	for _, p := range pairs {
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("Key collision: %v and %v both %q", p[0], p[1], p[0].Key())
+		}
+	}
+}
+
 func TestQuickKeyEqualConsistent(t *testing.T) {
 	f := func(a, b float64, s1, s2 string) bool {
 		v1 := Record(map[string]Value{"n": Num(a), "s": Str(s1)})

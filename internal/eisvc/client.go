@@ -55,6 +55,8 @@ const (
 	headerClient  = "X-Eisvc-Client"
 	headerAttempt = "X-Eisvc-Attempt"
 	headerHedge   = "X-Eisvc-Hedge"
+	// headerNode names the serving node on every answer (Config.NodeID).
+	headerNode = "X-Eisvc-Node"
 )
 
 // Client is the typed Go client for the daemon. Every method has a
@@ -91,6 +93,32 @@ type Client struct {
 	hedges    atomic.Uint64
 	hedgeWins atomic.Uint64
 	shed      atomic.Uint64
+
+	// idHdr caches the X-Eisvc-Client header value for ID.
+	idHdr atomic.Pointer[[]string]
+}
+
+// idHeader returns the shared X-Eisvc-Client value, rebuilt only when ID
+// changed since the last request.
+func (c *Client) idHeader() []string {
+	if p := c.idHdr.Load(); p != nil && (*p)[0] == c.ID {
+		return *p
+	}
+	v := []string{c.ID}
+	c.idHdr.Store(&v)
+	return v
+}
+
+// contentTypeValue returns the shared header value for one of the two
+// codecs' media types ("" means JSON), so setting it allocates nothing.
+func contentTypeValue(v string) []string {
+	switch v {
+	case "", "application/json":
+		return jsonContentType
+	case BinaryContentType:
+		return binaryContentType
+	}
+	return []string{v}
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -206,16 +234,13 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 		return nil, false, err
 	}
 	if payload != nil {
-		if ctype == "" {
-			ctype = "application/json"
-		}
-		req.Header.Set("Content-Type", ctype)
+		req.Header["Content-Type"] = contentTypeValue(ctype)
 	}
 	if accept != "" {
-		req.Header.Set("Accept", accept)
+		req.Header["Accept"] = contentTypeValue(accept)
 	}
 	if c.ID != "" {
-		req.Header.Set(headerClient, c.ID)
+		req.Header[headerClient] = c.idHeader()
 	}
 	if attempt > 1 {
 		req.Header.Set(headerAttempt, strconv.Itoa(attempt))
@@ -521,13 +546,18 @@ func (c *Client) Eval(name, method string, args []core.Value, opts core.EvalOpti
 // its worker slot. Evaluations are deterministic and idempotent, so they
 // retry (and hedge) per the client's policy.
 func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.Value, opts core.EvalOptions) (energy.Dist, *EvalResponse, error) {
-	req := c.EvalRequestFor(name, method, args, opts)
-	req.DeadlineMs = int(c.Deadline / time.Millisecond)
+	deadlineMs := int(c.Deadline / time.Millisecond)
 	var resp EvalResponse
 	var err error
 	if c.Binary {
+		// Frame the core values directly: the same bytes EvalRequestFor
+		// plus EncodeEvalRequest would produce, without the JSON-shaped
+		// detour.
 		err = c.doBin(ctx, "/v1/eval",
-			func(pb *bytes.Buffer) error { return EncodeEvalRequest(pb, &req) },
+			func(pb *bytes.Buffer) error {
+				encodeEvalCall(pb, name, method, args, opts, deadlineMs)
+				return nil
+			},
 			func(data []byte, binary bool) error {
 				if !binary {
 					return json.Unmarshal(data, &resp)
@@ -540,6 +570,8 @@ func (c *Client) EvalCtx(ctx context.Context, name, method string, args []core.V
 				return nil
 			}, true)
 	} else {
+		req := c.EvalRequestFor(name, method, args, opts)
+		req.DeadlineMs = deadlineMs
 		err = c.doCtx(ctx, http.MethodPost, "/v1/eval", req, &resp, true)
 	}
 	if err != nil {

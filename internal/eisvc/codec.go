@@ -20,9 +20,9 @@ import (
 // version, then one kind byte, then the kind's payload. Integers are
 // little-endian fixed-width; strings and vectors are length-prefixed
 // with a uint32. Record fields and fixed-ECV maps encode in sorted key
-// order, so identical requests encode to identical bytes (the fleet
-// router's spread hashing and the memo canonicalization both rely on
-// deterministic encodings).
+// order, so identical requests encode to identical bytes: the fleet
+// router's placement and the daemon's memo key are both computed from
+// the frame bytes (see frame.go).
 //
 // Negotiation: a client that sets Client.Binary sends its request body
 // as BinaryContentType and offers the same in Accept; the server decodes
@@ -37,8 +37,25 @@ const BinaryContentType = "application/x-eisvc-bin"
 // Bump it on any layout change; decoders reject other versions.
 const binVersion = 1
 
-// binMagic prefixes every binary message and snapshot file.
+// snapshotVersion is the cache-snapshot format version, carried in a
+// snapshot file's magic header in place of binVersion. It moves whenever
+// the meaning of the persisted keys changes: version 2 holds memo keys
+// derived from request frames and layer keys with length-prefixed record
+// field names, so a version-1 file (whose keys could never hit again) is
+// rejected and the node starts cold.
+const snapshotVersion = 2
+
+// binMagic prefixes every binary message; snapshot files swap its last
+// byte for snapshotVersion.
 var binMagic = [4]byte{'E', 'I', 'B', binVersion}
+
+// frameVersion is the format version a frame of the given kind carries.
+func frameVersion(kind byte) byte {
+	if kind == kindSnapshot {
+		return snapshotVersion
+	}
+	return binVersion
+}
 
 // Message kind bytes (the fifth byte of every frame).
 const (
@@ -127,7 +144,8 @@ func (e *benc) floats(xs []float64) {
 }
 
 func (e *benc) header(kind byte) {
-	e.buf.Write(binMagic[:])
+	e.buf.Write(binMagic[:3])
+	e.u8(frameVersion(kind))
 	e.u8(kind)
 }
 
@@ -355,8 +373,8 @@ func (d *bdec) header(kind byte) {
 		d.fail("bad magic")
 		return
 	}
-	if v := d.data[d.off+3]; v != binVersion {
-		d.fail("unsupported format version %d (want %d)", v, binVersion)
+	if v, want := d.data[d.off+3], frameVersion(kind); v != want {
+		d.fail("unsupported format version %d (want %d)", v, want)
 		return
 	}
 	d.off += 4
@@ -403,9 +421,8 @@ func (d *bdec) wireDist() WireDist {
 }
 
 // evalRequestBody encodes the request payload without the frame header,
-// shared by the single and batch encodings. The interface name comes
-// first so the fleet router can route a frame after decoding only a
-// short prefix.
+// shared by the single and batch encodings. The arguments and pinned ECVs
+// come last, so one byte range (EvalFrame.Canon) holds all of them.
 func (e *benc) evalRequestBody(req *EvalRequest) error {
 	e.str(req.Interface)
 	e.str(req.Method)
@@ -480,19 +497,6 @@ func DecodeEvalRequest(data []byte) (*EvalRequest, error) {
 		return nil, err
 	}
 	return &req, nil
-}
-
-// BinaryRequestInterface peeks the interface name out of a binary
-// eval-request frame without decoding the rest — the fleet router's
-// routing key for verbatim passthrough.
-func BinaryRequestInterface(data []byte) (string, bool) {
-	d := &bdec{data: data}
-	d.header(kindEvalRequest)
-	name := d.str()
-	if d.err != nil {
-		return "", false
-	}
-	return name, true
 }
 
 // Response flag bits.

@@ -72,8 +72,8 @@ func TestCodecEvalRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(req, got) {
 		t.Fatalf("round trip mismatch:\n in  %#v\n out %#v", req, got)
 	}
-	if name, ok := BinaryRequestInterface(buf.Bytes()); !ok || name != "mlservice" {
-		t.Fatalf("BinaryRequestInterface = %q, %v", name, ok)
+	if f, err := ScanEvalRequest(buf.Bytes()); err != nil || string(f.Interface) != "mlservice" {
+		t.Fatalf("ScanEvalRequest = %q, %v", f.Interface, err)
 	}
 }
 
@@ -369,8 +369,9 @@ func TestCodecTruncation(t *testing.T) {
 }
 
 // FuzzCodecRoundTrip drives the decoders with arbitrary bytes (they must
-// error or round-trip cleanly, never panic) and, when the input happens
-// to parse, asserts decode→encode→decode is bit-identical — the
+// error or round-trip cleanly, never panic), checks the frame scanners
+// agree with them on what is valid, and, when the input happens to
+// parse, asserts decode→encode→decode is bit-identical — the
 // canonical-form property the router's verbatim passthrough relies on.
 func FuzzCodecRoundTrip(f *testing.F) {
 	seed := func(enc func(*bytes.Buffer) error) {
@@ -420,6 +421,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(append(append([]byte{}, binMagic[:]...), kindSnapshot, 0xff, 0xff, 0xff, 0xff))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The zero-allocation scanners accept exactly what the decoders do.
+		_, scanErr := ScanEvalRequest(data)
+		if _, err := DecodeEvalRequest(data); (err == nil) != (scanErr == nil) {
+			t.Fatalf("DecodeEvalRequest err=%v but ScanEvalRequest err=%v", err, scanErr)
+		}
+		_, scanErr = ScanBatchEvalRequest(data)
+		if _, err := DecodeBatchEvalRequest(data); (err == nil) != (scanErr == nil) {
+			t.Fatalf("DecodeBatchEvalRequest err=%v but ScanBatchEvalRequest err=%v", err, scanErr)
+		}
 		if req, err := DecodeEvalRequest(data); err == nil {
 			var buf bytes.Buffer
 			if err := EncodeEvalRequest(&buf, req); err != nil {

@@ -141,7 +141,7 @@ func TestCacheLookupEndpoint(t *testing.T) {
 
 	_, version, _ := srv.Registry().Get("ml_webservice")
 	args := []core.Value{reqArg()}
-	key := memoKey("ml_webservice", version, "handle", args, opts)
+	key := callKey(t, "ml_webservice", version, "handle", args, opts)
 	if got := KeyStack(key); got != "ml_webservice" {
 		t.Fatalf("KeyStack(%q) = %q", key, got)
 	}

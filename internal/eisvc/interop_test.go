@@ -111,7 +111,7 @@ func TestWireSmokeInterop(t *testing.T) {
 
 	// Cache lookups: probe a warm key through both codecs. The canonical
 	// key is computable in-package from the registered version.
-	key := memoKey("ml_webservice", version, "handle", args, core.Expected())
+	key := callKey(t, "ml_webservice", version, "handle", args, core.Expected())
 	jd, found, err := jsonC.CacheLookup(key)
 	if err != nil || !found {
 		t.Fatalf("json cache lookup: found=%v err=%v", found, err)

@@ -1,13 +1,10 @@
 package eisvc
 
 import (
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
 	"energyclarity/internal/cache"
-	"energyclarity/internal/core"
 	"energyclarity/internal/energy"
 )
 
@@ -94,81 +91,16 @@ func (m *Memo) Restore(entries []MemoEntry) int {
 // KeyStack returns the interface-stack name embedded in a canonical memo
 // key (the prefix before the '@' that introduces the version). The fleet
 // router uses it to aim peer cache probes at the stack's shard owners
-// first — they are where the key is most likely warm.
+// first — they are where the key is most likely warm. The key's hex tail
+// holds no '|' and the version no '@', so a name containing either still
+// reads back whole.
 func KeyStack(key string) string {
-	if i := strings.IndexByte(key, '@'); i >= 0 {
-		return key[:i]
+	head := key
+	if i := strings.LastIndexByte(head, '|'); i >= 0 {
+		head = head[:i]
+	}
+	if i := strings.LastIndexByte(head, '@'); i >= 0 {
+		return head[:i]
 	}
 	return key
-}
-
-// memoKey canonicalizes one evaluation request. Two requests map to the
-// same key exactly when Interface.Eval is guaranteed to return the same
-// distribution for both:
-//
-//   - the interface version is part of the key, so re-registering or
-//     rebinding invalidates every older entry;
-//   - arguments and pinned ECVs canonicalize through core.Value.Key
-//     (pinned ECVs in sorted name order);
-//   - EnumLimit and Samples are normalized to their defaults first, so an
-//     explicit DefaultSamples and an omitted samples field collide;
-//   - Parallelism is NOT part of the key: the evaluation engine produces
-//     bit-identical distributions at every parallelism level, so answers
-//     are shared across clients that ask with different worker counts;
-//   - mode-irrelevant knobs are dropped (ModeFixed ignores seed, samples,
-//     and the enumeration limit; ModeMonteCarlo ignores the enumeration
-//     limit). The seed stays in the key for the enumeration modes because
-//     they fall back to Monte Carlo beyond EnumLimit.
-func memoKey(name string, version uint64, method string, args []core.Value, opts core.EvalOptions) string {
-	samples := opts.Samples
-	if samples <= 0 {
-		samples = core.DefaultSamples
-	}
-	enumLimit := opts.EnumLimit
-	if enumLimit <= 0 {
-		enumLimit = core.DefaultEnumLimit
-	}
-	seed := opts.Seed
-	switch opts.Mode {
-	case core.ModeFixed:
-		samples, enumLimit, seed = 0, 0, 0
-	case core.ModeMonteCarlo:
-		enumLimit = 0
-	}
-
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('@')
-	b.WriteString(strconv.FormatUint(version, 10))
-	b.WriteByte('|')
-	b.WriteString(method)
-	b.WriteString("|m")
-	b.WriteString(strconv.Itoa(int(opts.Mode)))
-	b.WriteString("|s")
-	b.WriteString(strconv.Itoa(samples))
-	b.WriteString("|l")
-	b.WriteString(strconv.Itoa(enumLimit))
-	b.WriteString("|r")
-	b.WriteString(strconv.FormatInt(seed, 10))
-	b.WriteString("|A[")
-	for _, a := range args {
-		b.WriteString(a.Key())
-		b.WriteByte(';')
-	}
-	b.WriteString("]|F{")
-	if len(opts.Fixed) > 0 {
-		names := make([]string, 0, len(opts.Fixed))
-		for qn := range opts.Fixed {
-			names = append(names, qn)
-		}
-		sort.Strings(names)
-		for _, qn := range names {
-			b.WriteString(qn)
-			b.WriteByte('=')
-			b.WriteString(opts.Fixed[qn].Key())
-			b.WriteByte(';')
-		}
-	}
-	b.WriteByte('}')
-	return b.String()
 }

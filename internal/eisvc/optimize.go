@@ -25,15 +25,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.optimizeRequests.Add(1)
 	s.noteResilience(r)
-	release, admitted := s.beginEval()
-	if !admitted {
+	if !s.beginEval() {
 		s.shedForDrain(w)
 		return
 	}
-	defer release()
+	defer s.endEval()
 	var req OptimizeRequest
 	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
+		buf := GetBuffer()
+		defer PutBuffer(buf)
+		ok := readBody(w, r, buf, func(data []byte) error {
 			rq, err := DecodeOptimizeRequest(data)
 			if err != nil {
 				return err
@@ -54,21 +55,26 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.Mode == "" {
 		req.Mode = core.ModeExpected.String()
 	}
-	// Reuse the eval validation path for the caps, the mode, and the
-	// registry lookup; each grid configuration later supplies the args.
-	probe := EvalRequest{
-		Interface: req.Interface,
-		Method:    req.EnergyMethod,
-		Mode:      req.Mode,
-		Samples:   req.Samples,
-		Seed:      req.Seed,
-		EnumLimit: req.EnumLimit,
+	// Reuse the eval admission path for the caps, the mode, and the
+	// registry lookup: frame a probe without args; each grid configuration
+	// later supplies its own frame on the probe's interface version.
+	opts := core.EvalOptions{Samples: req.Samples, Seed: req.Seed, EnumLimit: req.EnumLimit}
+	pbuf := GetBuffer()
+	defer PutBuffer(pbuf)
+	pf, err := FrameEvalRequest(pbuf, &EvalRequest{
+		Interface: req.Interface, Method: req.EnergyMethod, Mode: req.Mode,
+		Samples: req.Samples, Seed: req.Seed, EnumLimit: req.EnumLimit,
+	})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "optimize: %v", err)
+		return
 	}
-	iface, version, _, opts, status, msg := s.checkEvalRequest(&probe)
+	probe, status, msg := s.admit(&pf)
 	if status != 0 {
 		writeError(w, status, "%s", msg)
 		return
 	}
+	opts.Mode = probe.mode
 	space := make(autoopt.Space, len(req.Knobs))
 	for i, k := range req.Knobs {
 		space[i] = autoopt.Knob{Name: k.Name, Values: k.Values}
@@ -87,8 +93,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	spec := autoopt.Spec{Space: space, SLOMs: req.SLOMs, MaxConfigs: maxConfigs}
-	wait := s.deadlineFor(&EvalRequest{DeadlineMs: req.DeadlineMs})
-	res, err := autoopt.Sweep(r.Context(), spec, s.sweepEvaluator(&req, version, iface, opts, wait))
+	wait := s.queueWait(int64(req.DeadlineMs))
+	res, err := autoopt.Sweep(r.Context(), spec, s.sweepEvaluator(&req, &probe, opts, wait))
 	if err != nil {
 		writeEvalError(w, err)
 		return
@@ -98,7 +104,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	resp := OptimizeResponse{
 		Interface:   req.Interface,
-		Version:     version,
+		Version:     probe.version,
 		Mode:        opts.Mode.String(),
 		Knobs:       req.Knobs,
 		SLOMs:       req.SLOMs,
@@ -125,11 +131,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // sweepEvaluator resolves grid configurations concurrently — up to the
 // request's Parallelism (default: the worker count) in flight at once,
 // each configuration costing one energy and one latency evaluation
-// through evalShared. A sample is memo-served when a cache answered it
-// without a fresh local evaluation: a memo or peer hit, or coalescing
-// onto a flight another request leads. Errors keep grid order, so the
-// reported failure is deterministic.
-func (s *Server) sweepEvaluator(req *OptimizeRequest, version uint64, iface *core.Interface, opts core.EvalOptions, wait time.Duration) autoopt.Evaluator {
+// through evalShared. A configuration is framed like any eval request, so
+// its memo key is the one a /v1/eval of the same call would use. A
+// sample is memo-served when a cache answered it without a fresh local
+// evaluation: a memo or peer hit, or coalescing onto a flight another
+// request leads. Errors keep grid order, so the reported failure is
+// deterministic.
+func (s *Server) sweepEvaluator(req *OptimizeRequest, probe *evalCall, opts core.EvalOptions, wait time.Duration) autoopt.Evaluator {
 	par := req.Parallelism
 	if par <= 0 {
 		par = s.cfg.Workers
@@ -150,8 +158,15 @@ func (s *Server) sweepEvaluator(req *OptimizeRequest, version uint64, iface *cor
 					args[j] = core.Num(v)
 				}
 				evalOne := func(method string) (evalOutcome, bool, error) {
-					key := memoKey(req.Interface, version, method, args, opts)
-					o, coalesced, err := s.evalShared(ctx, wait, key, iface, method, args, opts)
+					buf := GetBuffer()
+					defer PutBuffer(buf)
+					encodeEvalCall(buf, req.Interface, method, args, opts, 0)
+					f, err := ScanEvalRequest(buf.Bytes())
+					if err != nil {
+						return evalOutcome{}, false, fmt.Errorf("optimize %s.%s%v: %w", req.Interface, method, cfg, err)
+					}
+					c := probe.withFrame(f)
+					o, coalesced, err := s.evalShared(ctx, wait, &c)
 					if err != nil {
 						return o, false, fmt.Errorf("optimize %s.%s%v: %w", req.Interface, method, cfg, err)
 					}

@@ -26,6 +26,7 @@ type Registry struct {
 }
 
 type regEntry struct {
+	name    string // the registry key, shared so requests need not copy it
 	iface   *core.Interface
 	source  string // EIL source; "" for native interfaces
 	version uint64
@@ -51,7 +52,7 @@ func (r *Registry) RegisterInterface(name string, iface *core.Interface) (uint64
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextVer++
-	r.entries[name] = &regEntry{iface: iface, version: r.nextVer, native: true}
+	r.entries[name] = &regEntry{name: name, iface: iface, version: r.nextVer, native: true}
 	return r.nextVer, nil
 }
 
@@ -89,6 +90,7 @@ func (r *Registry) RegisterSource(src string) ([]string, error) {
 	for _, id := range f.Interfaces {
 		r.nextVer++
 		r.entries[id.Name] = &regEntry{
+			name:    id.Name,
 			iface:   compiled[id.Name],
 			source:  src,
 			version: r.nextVer,
@@ -107,6 +109,16 @@ func (r *Registry) Get(name string) (*core.Interface, uint64, bool) {
 		return nil, 0, false
 	}
 	return e.iface, e.version, true
+}
+
+// lookup is Get keyed by a request frame's name bytes; indexing the map
+// with the converted bytes directly copies nothing. Entries are immutable
+// once installed, so the caller may read the result unlocked.
+func (r *Registry) lookup(name []byte) (*regEntry, bool) {
+	r.mu.RLock()
+	e, ok := r.entries[string(name)]
+	r.mu.RUnlock()
+	return e, ok
 }
 
 // Source returns the EIL source the named interface was registered from;
@@ -143,6 +155,7 @@ func (r *Registry) Rebind(name, path, target string) (uint64, error) {
 	}
 	r.nextVer++
 	r.entries[name] = &regEntry{
+		name:    name,
 		iface:   rebound,
 		source:  e.source,
 		version: r.nextVer,
@@ -217,6 +230,7 @@ func (r *Registry) ApplySnapshot(snap RegistrySnapshot) int {
 			continue
 		}
 		r.entries[e.Name] = &regEntry{
+			name:    e.Name,
 			iface:   e.Iface,
 			source:  e.Source,
 			version: e.Version,

@@ -107,6 +107,9 @@ type Server struct {
 	lat    *latencies
 	mux    *http.ServeMux
 
+	// nodeHeader is the X-Eisvc-Node value, built once (nil standalone).
+	nodeHeader []string
+
 	evalRequests  atomic.Uint64
 	evaluations   atomic.Uint64
 	coalesced     atomic.Uint64
@@ -168,6 +171,9 @@ func NewServer(cfg Config) *Server {
 	if !cfg.NoLayerCache {
 		s.layer = core.NewLayerCache(cfg.LayerCapacity)
 	}
+	if cfg.NodeID != "" {
+		s.nodeHeader = []string{cfg.NodeID}
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/drift", s.handleDrift)
@@ -227,23 +233,27 @@ func (s *Server) SetPeerLookup(fn PeerLookup) {
 
 // beginEval admits one evaluation request into the drain accounting; it
 // returns false when the server is draining (the caller must shed with
-// 503) and otherwise a release that must run when the request finishes.
-func (s *Server) beginEval() (release func(), ok bool) {
+// 503) and otherwise the caller must run endEval when the request
+// finishes.
+func (s *Server) beginEval() bool {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	if s.draining {
-		return nil, false
+		return false
 	}
 	s.inflight++
-	return func() {
-		s.drainMu.Lock()
-		s.inflight--
-		settled := s.draining && s.inflight == 0
-		s.drainMu.Unlock()
-		if settled {
-			s.idleOnce.Do(func() { close(s.idle) })
-		}
-	}, true
+	return true
+}
+
+// endEval releases what beginEval admitted.
+func (s *Server) endEval() {
+	s.drainMu.Lock()
+	s.inflight--
+	settled := s.draining && s.inflight == 0
+	s.drainMu.Unlock()
+	if settled {
+		s.idleOnce.Do(func() { close(s.idle) })
+	}
 }
 
 // BeginDrain stops admitting evaluation work: /v1/eval and /v1/evalbatch
@@ -314,13 +324,29 @@ func (s *Server) noteResilience(r *http.Request) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Eisvc-Node", s.cfg.NodeID)
+	if s.nodeHeader != nil {
+		w.Header()[headerNode] = s.nodeHeader
 	}
 	s.mux.ServeHTTP(w, r)
 }
 
 // --- helpers ---
+
+// Response header values are shared, pre-canonicalized slices: assigning
+// one costs nothing, where Header.Set allocates a fresh slice per call.
+var (
+	jsonContentType   = []string{"application/json"}
+	binaryContentType = []string{BinaryContentType}
+)
+
+// writeBody answers with buf's bytes under the given Content-Type.
+func writeBody(w http.ResponseWriter, status int, ctype []string, buf *bytes.Buffer) {
+	h := w.Header()
+	h["Content-Type"] = ctype
+	h["Content-Length"] = []string{strconv.Itoa(buf.Len())}
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode through a pooled buffer: one reusable allocation instead of
@@ -331,10 +357,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeBody(w, status, jsonContentType, buf)
 }
 
 // writeBin answers with a binary frame produced by encode. Encoding
@@ -347,10 +370,7 @@ func writeBin(w http.ResponseWriter, status int, encode func(*bytes.Buffer) erro
 		writeError(w, http.StatusInternalServerError, "binary encode: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeBody(w, status, binaryContentType, buf)
 }
 
 // binaryRequest reports whether the request body is a binary frame.
@@ -365,12 +385,10 @@ func wantsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), BinaryContentType)
 }
 
-// readBody drains the request body through a pooled buffer and hands the
-// bytes to decode; whatever decode keeps must be a copy (the binary
-// decoders copy everything). A false return means the 400 was written.
-func readBody(w http.ResponseWriter, r *http.Request, decode func(data []byte) error) bool {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
+// readBody drains the request body into buf (the caller's pooled buffer)
+// and hands the bytes to decode; whatever decode keeps aliases buf until
+// the caller releases it. A false return means the 400 was written.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, decode func(data []byte) error) bool {
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return false
@@ -380,6 +398,48 @@ func readBody(w http.ResponseWriter, r *http.Request, decode func(data []byte) e
 		return false
 	}
 	return true
+}
+
+// readEvalFrame reads an eval request into buf and returns its frame: a
+// binary body is scanned in place, a JSON body decoded and framed once. A
+// false return means the 400 was written.
+func readEvalFrame(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (f EvalFrame, ok bool) {
+	var err error
+	if binaryRequest(r) {
+		return f, readBody(w, r, buf, func(data []byte) error {
+			f, err = ScanEvalRequest(data)
+			return err
+		})
+	}
+	var req EvalRequest
+	if !decodeJSON(w, r, &req) {
+		return f, false
+	}
+	if f, err = FrameEvalRequest(buf, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return f, false
+	}
+	return f, true
+}
+
+// readBatchFrames is readEvalFrame for /v1/evalbatch.
+func readBatchFrames(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (frames []EvalFrame, ok bool) {
+	var err error
+	if binaryRequest(r) {
+		return frames, readBody(w, r, buf, func(data []byte) error {
+			frames, err = ScanBatchEvalRequest(data)
+			return err
+		})
+	}
+	var req BatchEvalRequest
+	if !decodeJSON(w, r, &req) {
+		return nil, false
+	}
+	if frames, err = FrameBatchEvalRequest(buf, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil, false
+	}
+	return frames, true
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -501,14 +561,53 @@ type evalOutcome struct {
 	peer    bool
 }
 
-// evalShared resolves one canonicalized evaluation. All evaluation paths
-// (/v1/eval, /v1/evalbatch) funnel through here, so the discipline is
-// uniform: memo lookup, then a singleflight keyed by the memo key — N
-// concurrent identical misses run exactly one Eval — whose leader
-// re-checks the memo (a flight that finished between our miss and the
-// flight forming already published its answer), wins a worker slot under
-// the usual admission rules, evaluates with the layer cache attached, and
-// publishes to the memo.
+// evalCall is one admitted evaluation: the request's frame resolved
+// against the registry, plus its memo key. The frame aliases the
+// request's buffer, which outlives the call.
+type evalCall struct {
+	frame   EvalFrame
+	name    string // the registry's own copy of the interface name
+	iface   *core.Interface
+	version uint64
+	mode    core.Mode
+	key     string
+}
+
+// withFrame returns the call for another frame on the same interface
+// version (an optimize sweep's configurations).
+func (c evalCall) withFrame(f EvalFrame) evalCall {
+	c.frame = f
+	c.key = memoKey(c.name, c.version, c.mode, &f)
+	return c
+}
+
+// evaluate is the deferred half of a call: it decodes the arguments and
+// options from the frame and runs the interface. Only a singleflight
+// leader that missed every cache gets here.
+func (c *evalCall) evaluate(ctx context.Context, layer *core.LayerCache) (energy.Dist, error) {
+	args, fixed, err := c.frame.decode()
+	if err != nil {
+		return energy.Dist{}, err
+	}
+	return c.iface.EvalCtx(ctx, string(c.frame.Method), args, core.EvalOptions{
+		Mode:        c.mode,
+		Fixed:       fixed,
+		EnumLimit:   int(c.frame.EnumLimit),
+		Samples:     int(c.frame.Samples),
+		Seed:        c.frame.Seed,
+		Parallelism: int(c.frame.Parallelism),
+		Layer:       layer, // nil (disabled) is valid
+	})
+}
+
+// evalShared resolves one admitted evaluation. All evaluation paths
+// (/v1/eval, /v1/evalbatch, /v1/optimize) funnel through here, so the
+// discipline is uniform: memo lookup, then a singleflight keyed by the
+// memo key — N concurrent identical misses run exactly one Eval — whose
+// leader re-checks the memo (a flight that finished between our miss and
+// the flight forming already published its answer), wins a worker slot
+// under the usual admission rules, evaluates with the layer cache
+// attached, and publishes to the memo.
 //
 // ctx is the request's own context; it cancels the running evaluation
 // when the client disconnects, so an abandoned request frees its worker
@@ -517,7 +616,8 @@ type evalOutcome struct {
 // evaluation is bounded by the samples/enum caps (and by ctx), not by the
 // queue deadline. A cancelled coalesced leader fails its followers too
 // (they see context.Canceled as a 503 and may retry).
-func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string, iface *core.Interface, method string, args []core.Value, opts core.EvalOptions) (out evalOutcome, coalesced bool, err error) {
+func (s *Server) evalShared(ctx context.Context, wait time.Duration, c *evalCall) (out evalOutcome, coalesced bool, err error) {
+	key := c.key
 	if d, hit := s.memo.Get(key); hit {
 		return evalOutcome{dist: d, memoHit: true}, false, nil
 	}
@@ -547,9 +647,8 @@ func (s *Server) evalShared(ctx context.Context, wait time.Duration, key string,
 			return evalOutcome{}, err
 		}
 		defer release()
-		opts.Layer = s.layer // nil (disabled) is valid
 		s.evaluations.Add(1)
-		d, evalErr := iface.EvalCtx(ctx, method, args, opts)
+		d, evalErr := c.evaluate(ctx, s.layer)
 		if evalErr != nil {
 			if errors.Is(evalErr, context.Canceled) || errors.Is(evalErr, context.DeadlineExceeded) {
 				return evalOutcome{}, evalErr
@@ -574,20 +673,15 @@ func (e *evalFailed) Unwrap() error { return e.err }
 
 // writeEvalError maps an evalShared error onto the wire.
 func writeEvalError(w http.ResponseWriter, err error) {
-	var ef *evalFailed
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.As(err, &ef):
-		writeError(w, http.StatusUnprocessableEntity, "eval: %v", ef.err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	status := evalStatus(err)
+	if status == http.StatusUnprocessableEntity {
+		writeError(w, status, "eval: %v", err)
+		return
 	}
+	writeError(w, status, "%v", err)
 }
 
-// evalStatus is writeEvalError's status mapping, for per-item batch errors.
+// evalStatus maps an evalShared error onto its HTTP status.
 func evalStatus(err error) int {
 	var ef *evalFailed
 	switch {
@@ -602,39 +696,33 @@ func evalStatus(err error) int {
 	}
 }
 
-// checkEvalRequest validates caps and converts the wire request; it
-// returns the parsed pieces or a (status, message) rejection.
-func (s *Server) checkEvalRequest(req *EvalRequest) (iface *core.Interface, version uint64, args []core.Value, opts core.EvalOptions, status int, errMsg string) {
-	if req.Samples > s.cfg.MaxSamples {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest,
-			fmt.Sprintf("samples %d exceeds server cap %d", req.Samples, s.cfg.MaxSamples)
+// admit validates a framed request's caps and mode and resolves its
+// interface; it returns the call or a (status, message) rejection.
+func (s *Server) admit(f *EvalFrame) (c evalCall, status int, errMsg string) {
+	if f.Samples > int64(s.cfg.MaxSamples) {
+		return c, http.StatusBadRequest, fmt.Sprintf("samples %d exceeds server cap %d", f.Samples, s.cfg.MaxSamples)
 	}
-	if req.EnumLimit > s.cfg.MaxEnumLimit {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest,
-			fmt.Sprintf("enum_limit %d exceeds server cap %d", req.EnumLimit, s.cfg.MaxEnumLimit)
+	if f.EnumLimit > int64(s.cfg.MaxEnumLimit) {
+		return c, http.StatusBadRequest, fmt.Sprintf("enum_limit %d exceeds server cap %d", f.EnumLimit, s.cfg.MaxEnumLimit)
 	}
-	opts, err := req.Options()
+	mode, err := parseMode(f.Mode)
 	if err != nil {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest, err.Error()
+		return c, http.StatusBadRequest, err.Error()
 	}
-	args, err = argsFromJSON(req.Args)
-	if err != nil {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusBadRequest, err.Error()
-	}
-	iface, version, ok := s.reg.Get(req.Interface)
+	e, ok := s.reg.lookup(f.Interface)
 	if !ok {
-		return nil, 0, nil, core.EvalOptions{}, http.StatusNotFound,
-			fmt.Sprintf("no interface %q", req.Interface)
+		return c, http.StatusNotFound, fmt.Sprintf("no interface %q", f.Interface)
 	}
-	return iface, version, args, opts, 0, ""
+	c = evalCall{name: e.name, iface: e.iface, version: e.version, mode: mode}
+	return c.withFrame(*f), 0, ""
 }
 
-// deadlineFor returns the queue-wait bound for a request. DeadlineMs <= 0
+// queueWait returns the queue-wait bound for a request. deadlineMs <= 0
 // (including the client-side NoDeadline sentinel, which well-behaved
 // clients normalize to 0 before sending) means the server default.
-func (s *Server) deadlineFor(req *EvalRequest) time.Duration {
-	if req.DeadlineMs > 0 {
-		return time.Duration(req.DeadlineMs) * time.Millisecond
+func (s *Server) queueWait(deadlineMs int64) time.Duration {
+	if deadlineMs > 0 {
+		return time.Duration(deadlineMs) * time.Millisecond
 	}
 	return s.cfg.DefaultDeadline
 }
@@ -643,52 +731,39 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.evalRequests.Add(1)
 	s.noteResilience(r)
-	release, admitted := s.beginEval()
-	if !admitted {
+	if !s.beginEval() {
 		s.shedForDrain(w)
 		return
 	}
-	defer release()
-	var req EvalRequest
-	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
-			rq, err := DecodeEvalRequest(data)
-			if err != nil {
-				return err
-			}
-			req = *rq
-			return nil
-		})
-		if !ok {
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
+	defer s.endEval()
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	f, ok := readEvalFrame(w, r, buf)
+	if !ok {
 		return
 	}
-	iface, version, args, opts, status, msg := s.checkEvalRequest(&req)
+	c, status, msg := s.admit(&f)
 	if status != 0 {
 		writeError(w, status, "%s", msg)
 		return
 	}
-
-	key := memoKey(req.Interface, version, req.Method, args, opts)
-	out, coalesced, err := s.evalShared(r.Context(), s.deadlineFor(&req), key, iface, req.Method, args, opts)
+	out, coalesced, err := s.evalShared(r.Context(), s.queueWait(f.DeadlineMs), &c)
 	if err != nil {
 		writeEvalError(w, err)
 		return
 	}
 	resp := EvalResponse{
-		Interface: req.Interface,
-		Version:   version,
-		Method:    req.Method,
-		Mode:      opts.Mode.String(),
+		Interface: c.name,
+		Version:   c.version,
+		Method:    string(f.Method),
+		Mode:      c.mode.String(),
 		Dist:      ToWire(out.dist),
 		Cached:    out.memoHit,
 		Coalesced: coalesced,
 		Peer:      out.peer,
 		Node:      s.cfg.NodeID,
 	}
-	s.ledger.Record(clientID(r), req.Interface, out.dist, out.memoHit || coalesced)
+	s.ledger.Record(clientID(r), c.name, out.dist, out.memoHit || coalesced)
 	s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
 	if wantsBinary(r) {
 		writeBin(w, http.StatusOK, func(buf *bytes.Buffer) error { return EncodeEvalResponse(buf, &resp) })
@@ -707,68 +782,47 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.batchRequests.Add(1)
 	s.noteResilience(r)
-	release, admitted := s.beginEval()
-	if !admitted {
+	if !s.beginEval() {
 		s.shedForDrain(w)
 		return
 	}
-	defer release()
-	var req BatchEvalRequest
-	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
-			rq, err := DecodeBatchEvalRequest(data)
-			if err != nil {
-				return err
-			}
-			req = *rq
-			return nil
-		})
-		if !ok {
-			return
-		}
-	} else if !decodeJSON(w, r, &req) {
+	defer s.endEval()
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	frames, ok := readBatchFrames(w, r, buf)
+	if !ok {
 		return
 	}
-	if len(req.Requests) == 0 {
+	if len(frames) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Requests) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d exceeds server cap %d", len(req.Requests), s.cfg.MaxBatch)
+	if len(frames) > s.cfg.MaxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d exceeds server cap %d", len(frames), s.cfg.MaxBatch)
 		return
 	}
-	s.batchItems.Add(uint64(len(req.Requests)))
+	s.batchItems.Add(uint64(len(frames)))
 
-	type parsedItem struct {
-		iface   *core.Interface
-		version uint64
-		args    []core.Value
-		opts    core.EvalOptions
-		key     string
-	}
-	items := make([]BatchEvalItem, len(req.Requests))
-	parsed := make([]parsedItem, len(req.Requests))
+	items := make([]BatchEvalItem, len(frames))
+	calls := make([]evalCall, len(frames))
 	// first maps a memo key to the first item index that produced it; later
 	// items with the same key share that item's evaluation.
 	first := map[string]int{}
-	for i := range req.Requests {
-		it := &req.Requests[i]
-		items[i] = BatchEvalItem{Interface: it.Interface, Method: it.Method}
-		iface, version, args, opts, status, msg := s.checkEvalRequest(it)
+	for i := range frames {
+		f := &frames[i]
+		items[i] = BatchEvalItem{Interface: string(f.Interface), Method: string(f.Method)}
+		c, status, msg := s.admit(f)
 		if status != 0 {
 			items[i].Status, items[i].Error = status, msg
 			continue
 		}
-		p := parsedItem{iface: iface, version: version, args: args, opts: opts}
-		p.key = memoKey(it.Interface, version, it.Method, args, opts)
-		parsed[i] = p
-		items[i].Version = version
-		items[i].Mode = opts.Mode.String()
-		if j, dup := first[p.key]; dup {
+		calls[i] = c
+		items[i].Version = c.version
+		items[i].Mode = c.mode.String()
+		if _, dup := first[c.key]; dup {
 			items[i].Deduped = true
-			parsed[i].key = parsed[j].key // same key; marker only
 		} else {
-			first[p.key] = i
+			first[c.key] = i
 		}
 	}
 
@@ -785,10 +839,10 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		kr := &keyResult{}
 		results[key] = kr
 		wg.Add(1)
-		go func(key string, it *EvalRequest, p parsedItem, kr *keyResult) {
+		go func(c *evalCall, kr *keyResult) {
 			defer wg.Done()
-			kr.out, kr.coalesced, kr.err = s.evalShared(r.Context(), s.deadlineFor(it), key, p.iface, it.Method, p.args, p.opts)
-		}(key, &req.Requests[i], parsed[i], kr)
+			kr.out, kr.coalesced, kr.err = s.evalShared(r.Context(), s.queueWait(c.frame.DeadlineMs), c)
+		}(&calls[i], kr)
 	}
 	wg.Wait()
 
@@ -797,7 +851,7 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		if items[i].Error != "" {
 			continue
 		}
-		kr := results[parsed[i].key]
+		kr := results[calls[i].key]
 		if kr.err != nil {
 			items[i].Status, items[i].Error = evalStatus(kr.err), kr.err.Error()
 			continue
@@ -808,7 +862,7 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		items[i].Cached = kr.out.memoHit
 		items[i].Coalesced = kr.coalesced
 		items[i].Peer = kr.out.peer
-		s.ledger.Record(who, items[i].Interface, kr.out.dist,
+		s.ledger.Record(who, calls[i].name, kr.out.dist,
 			kr.out.memoHit || kr.coalesced || items[i].Deduped)
 	}
 	s.lat.observe(float64(time.Since(start)) / float64(time.Millisecond))
@@ -830,7 +884,9 @@ func (s *Server) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	var req CacheLookupRequest
 	if binaryRequest(r) {
-		ok := readBody(w, r, func(data []byte) error {
+		buf := GetBuffer()
+		defer PutBuffer(buf)
+		ok := readBody(w, r, buf, func(data []byte) error {
 			rq, err := DecodeCacheLookupRequest(data)
 			if err != nil {
 				return err

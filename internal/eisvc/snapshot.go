@@ -18,7 +18,7 @@ import (
 // binary wire format so a restarted or newly joined node loads warm in
 // milliseconds.
 //
-// File layout: the standard frame header (magic "EIB" + version,
+// File layout: the standard frame header (magic "EIB" + snapshotVersion,
 // kindSnapshot), the node ID, the memo entries (key + exact support/probs
 // vectors), the layer entries (key + scalar), and a trailing CRC-32
 // (IEEE) of everything before it. Loading verifies magic, version, and

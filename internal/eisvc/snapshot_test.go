@@ -1,6 +1,10 @@
 package eisvc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -25,7 +29,7 @@ func warmServer(t *testing.T) (*Server, []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := memoKey("stack", uint64(i+1), "serve", nil, core.EvalOptions{Mode: core.ModeExpected})
+		key := callKey(t, "stack", uint64(i+1), "serve", nil, core.EvalOptions{Mode: core.ModeExpected})
 		key += "#" + strings.Repeat("x", i) // distinct keys
 		s.memo.Put(key, d)
 		keys = append(keys, key)
@@ -160,4 +164,57 @@ func TestSnapshotLoopSavesOnStop(t *testing.T) {
 	if memoN != len(keys) {
 		t.Fatalf("final save restored %d entries, want %d", memoN, len(keys))
 	}
+}
+
+// TestSnapshotPreFrameKeysRejected: a snapshot written before memo keys
+// were derived from request frames (format version 1) is rejected whole —
+// its keys could never hit again — and the node cold-starts with correct
+// answers.
+func TestSnapshotPreFrameKeysRejected(t *testing.T) {
+	srv, c, done := newTestDaemon(t, Config{NodeID: "node-old"})
+	defer done()
+	if _, err := c.Register(testEIL); err != nil {
+		t.Fatal(err)
+	}
+	_, version, _ := srv.Registry().Get("ml_webservice")
+
+	// A version-1 file: the same layout with the old key spelling and a
+	// valid checksum, so only the format version gives it away. Its answer
+	// is deliberately wrong: it must never be served.
+	oldKey := fmt.Sprintf("ml_webservice@%d|handle|m0|s2048|l4096|r0|A[R{pixels=N1e+06;zeros=N200000;};]|F{}", version)
+	var buf bytes.Buffer
+	if err := EncodeCacheSnapshot(&buf, &CacheSnapshot{
+		NodeID: "node-old",
+		Memo:   []MemoEntry{{Key: oldKey, Support: []float64{42}, Probs: []float64{1}}},
+		Layer:  []LayerEntry{{Key: "fold|m|AR{pixels=N1e+06;};|E", Joules: 42}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	old[3] = 1
+	binary.LittleEndian.PutUint32(old[len(old)-4:], crc32.ChecksumIEEE(old[:len(old)-4]))
+	path := filepath.Join(t.TempDir(), "node-old.eisnap")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	memoN, layerN, err := srv.LoadCacheSnapshot(path)
+	if err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("version-1 snapshot: err = %v, want a format-version rejection", err)
+	}
+	if memoN != 0 || layerN != 0 {
+		t.Fatalf("rejected snapshot installed %d/%d entries", memoN, layerN)
+	}
+
+	want, err := localIface(t).Eval("handle", []core.Value{reqArg()}, core.Expected())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, resp, err := c.Eval("ml_webservice", "handle", []core.Value{reqArg()}, core.Expected())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cached {
+		t.Fatal("first answer after a rejected snapshot claims a memo hit")
+	}
+	sameDist(t, "cold start", got, want)
 }

@@ -504,22 +504,6 @@ func ValueFromJSON(r any) (core.Value, error) {
 	}
 }
 
-// argsFromJSON converts a JSON args array.
-func argsFromJSON(raw []any) ([]core.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make([]core.Value, len(raw))
-	for i, r := range raw {
-		v, err := ValueFromJSON(r)
-		if err != nil {
-			return nil, fmt.Errorf("arg %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // fixedFromJSON converts a JSON fixed-ECV map.
 func fixedFromJSON(raw map[string]any) (map[string]core.Value, error) {
 	if len(raw) == 0 {

@@ -41,7 +41,7 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 	a := core.MonteCarlo(512, 3)
 	b := core.MonteCarlo(512, 3)
 	b.Parallelism = 8
-	if memoKey("i", 1, "m", args, a) != memoKey("i", 1, "m", args, b) {
+	if callKey(t, "i", 1, "m", args, a) != callKey(t, "i", 1, "m", args, b) {
 		t.Error("parallelism split the memo key")
 	}
 
@@ -50,18 +50,18 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 	d := core.Expected()
 	d.Samples = core.DefaultSamples
 	d.EnumLimit = core.DefaultEnumLimit
-	if memoKey("i", 1, "m", args, c) != memoKey("i", 1, "m", args, d) {
+	if callKey(t, "i", 1, "m", args, c) != callKey(t, "i", 1, "m", args, d) {
 		t.Error("explicit defaults split the memo key")
 	}
 
 	// Version always splits it.
-	if memoKey("i", 1, "m", args, a) == memoKey("i", 2, "m", args, a) {
+	if callKey(t, "i", 1, "m", args, a) == callKey(t, "i", 2, "m", args, a) {
 		t.Error("version did not split the memo key")
 	}
 
 	// Seed splits Monte Carlo keys but not fixed-mode keys.
 	e := core.MonteCarlo(512, 4)
-	if memoKey("i", 1, "m", args, a) == memoKey("i", 1, "m", args, e) {
+	if callKey(t, "i", 1, "m", args, a) == callKey(t, "i", 1, "m", args, e) {
 		t.Error("seed did not split monte-carlo keys")
 	}
 	pin := map[string]core.Value{"x": core.Bool(true)}
@@ -69,7 +69,7 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 	f2 := core.FixedAssignment(pin)
 	f1.Seed, f2.Seed = 1, 2
 	f1.Samples, f2.Samples = 100, 200
-	if memoKey("i", 1, "m", args, f1) != memoKey("i", 1, "m", args, f2) {
+	if callKey(t, "i", 1, "m", args, f1) != callKey(t, "i", 1, "m", args, f2) {
 		t.Error("mode-irrelevant knobs split fixed-mode keys")
 	}
 
@@ -78,13 +78,13 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 	g1.Fixed = map[string]core.Value{"a": core.Num(1), "b": core.Num(2)}
 	g2 := core.Expected()
 	g2.Fixed = map[string]core.Value{"b": core.Num(2), "a": core.Num(1)}
-	if memoKey("i", 1, "m", args, g1) != memoKey("i", 1, "m", args, g2) {
+	if callKey(t, "i", 1, "m", args, g1) != callKey(t, "i", 1, "m", args, g2) {
 		t.Error("fixed-map iteration order split the memo key")
 	}
 
 	// Different args split it.
 	other := []core.Value{core.Record(map[string]core.Value{"n": core.Num(6)})}
-	if memoKey("i", 1, "m", args, c) == memoKey("i", 1, "m", other, c) {
+	if callKey(t, "i", 1, "m", args, c) == callKey(t, "i", 1, "m", other, c) {
 		t.Error("args did not split the memo key")
 	}
 }

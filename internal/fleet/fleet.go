@@ -6,9 +6,9 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"energyclarity/internal/core"
@@ -130,6 +130,9 @@ type Fleet struct {
 	ring   *Ring
 	nodes  map[string]*Node
 	nextID int
+	// view is the router's lock-free copy of the membership, replaced
+	// under mu whenever nodes or ring change.
+	view atomic.Pointer[membership]
 
 	// mutMu serializes registry mutations fleet-wide: one register/rebind
 	// at a time flows to the primary and replicates before the next, so
@@ -146,6 +149,7 @@ func New(cfg Config) (*Fleet, error) {
 		ring:  NewRing(cfg.VirtualNodes),
 		nodes: map[string]*Node{},
 	}
+	f.refresh()
 	for i := 0; i < cfg.Nodes; i++ {
 		if _, err := f.AddNode(); err != nil {
 			f.Close()
@@ -247,6 +251,7 @@ func (f *Fleet) RestartNode(id string) (*Node, error) {
 	f.mu.Lock()
 	f.nodes[id] = n
 	f.ring.Add(id) // idempotent: a no-op here unless the node had been removed
+	f.refresh()
 	f.mu.Unlock()
 	return n, nil
 }
@@ -272,6 +277,7 @@ func (f *Fleet) AddNode() (*Node, error) {
 	f.mu.Lock()
 	f.nodes[id] = n
 	f.ring.Add(id)
+	f.refresh()
 	f.mu.Unlock()
 	return n, nil
 }
@@ -289,6 +295,7 @@ func (f *Fleet) DrainNode(ctx context.Context, id string) error {
 		return fmt.Errorf("fleet: no node %s", id)
 	}
 	f.ring.Remove(id)
+	f.refresh()
 	f.mu.Unlock()
 	n.setState(stateDraining)
 	err := n.Server.Drain(ctx)
@@ -328,6 +335,7 @@ func (f *Fleet) RemoveNode(ctx context.Context, id string) error {
 	n, ok := f.nodes[id]
 	delete(f.nodes, id)
 	f.ring.Remove(id)
+	f.refresh()
 	f.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fleet: no node %s", id)
@@ -363,14 +371,7 @@ func (f *Fleet) Node(id string) (*Node, bool) {
 
 // Nodes returns all nodes (any state), sorted by ID.
 func (f *Fleet) Nodes() []*Node {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]*Node, 0, len(f.nodes))
-	for _, n := range f.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append([]*Node(nil), f.view.Load().nodes...)
 }
 
 // LiveNodes returns the nodes currently accepting evaluation work.
@@ -473,6 +474,7 @@ func (f *Fleet) Close() {
 	}
 	f.nodes = map[string]*Node{}
 	f.ring = NewRing(f.cfg.VirtualNodes)
+	f.refresh()
 	f.mu.Unlock()
 	for _, n := range nodes {
 		n.setState(stateDead)

@@ -60,7 +60,7 @@ func TestFleetOptimizeKillMidSweep(t *testing.T) {
 	// Predict placement the way the router will: the first live
 	// candidate under the sweep fingerprint serves the sweep.
 	req := fleetOptRequest()
-	cands := rt.candidatesFor(req.Interface, optimizeSpread(&req))
+	cands := rt.place([]byte(req.Interface), optimizeSpread(&req), nil).cands
 	if len(cands) < 3 {
 		t.Fatalf("want 3 candidates, got %d", len(cands))
 	}

@@ -46,16 +46,22 @@ func NewRing(vnodes int) *Ring {
 // hash64 is FNV-1a with a splitmix64 finalizer. FNV alone clusters badly
 // for short suffix-varying strings (node-1#0, node-1#1, ...); the
 // finalizer's avalanche spreads the points uniformly around the circle.
-func hash64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+func hash64[T string | []byte](s T) uint64 { return mix64(fnv1a(fnvOffset, s)) }
+
+const fnvOffset = 14695981039346656037
+
+// fnv1a folds s into the running FNV-1a state h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	const prime = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime
 	}
+	return h
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27

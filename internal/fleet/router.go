@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -86,17 +87,25 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // --- forwarding machinery ---
 
+// forwardHeaders ride from the inbound request to the node so the serving
+// node's codec negotiation, ledger, and stats attribute correctly;
+// relayHeaders ride back. Both are canonical keys, and the value slices
+// are shared rather than copied: Header.Set would allocate per value.
+var (
+	forwardHeaders = []string{"Content-Type", "Accept", "X-Eisvc-Client", "X-Eisvc-Attempt", "X-Eisvc-Hedge"}
+	relayHeaders   = []string{"Content-Type", "X-Eisvc-Node", "Retry-After"}
+)
+
 // forward replays one request body to a node and returns the raw
-// response. The inbound request's identity and resilience headers ride
-// along so the serving node's ledger and stats attribute correctly.
+// response.
 func (rt *Router) forward(ctx context.Context, n *Node, r *http.Request, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, r.Method, n.URL+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	for _, h := range []string{"Content-Type", "Accept", "X-Eisvc-Client", "X-Eisvc-Attempt", "X-Eisvc-Hedge"} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
+	for _, h := range forwardHeaders {
+		if v := r.Header[h]; len(v) > 0 {
+			req.Header[h] = v
 		}
 	}
 	return rt.fwd.Do(req)
@@ -106,9 +115,10 @@ func (rt *Router) forward(ctx context.Context, n *Node, r *http.Request, body []
 // X-Eisvc-Node attribution the node stamped).
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Eisvc-Node", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	h := w.Header()
+	for _, k := range relayHeaders {
+		if v := resp.Header[k]; len(v) > 0 {
+			h[k] = v
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
@@ -155,119 +165,130 @@ func (rt *Router) tryCandidates(w http.ResponseWriter, r *http.Request, body []b
 // fleet is healing (a kill's replacement replica warms in milliseconds).
 func (rt *Router) writeExhausted(w http.ResponseWriter, what string) {
 	rt.exhausted.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(eisvc.ErrorResponse{Error: "fleet: no node could serve " + what})
+	writeJSON(w, http.StatusServiceUnavailable, eisvc.ErrorResponse{Error: "fleet: no node could serve " + what})
 }
 
-// candidatesFor orders the nodes to try for one evaluation: the stack's
-// ring owners first — rotated by the request hash, so a hot stack's
-// traffic spreads over all R replicas instead of hammering the primary —
-// then every other live node as a last resort.
-func (rt *Router) candidatesFor(stack string, spread uint64) []*Node {
-	owners := rt.f.OwnersOf(stack)
-	var out []*Node
-	seen := map[string]bool{}
+// placement is where one request goes: the candidates to try in order,
+// and the affinity fingerprint that remembers who served it. warm means
+// the first candidate is the node that last served this fingerprint.
+type placement struct {
+	cands  []*Node
+	affKey uint64
+	warm   bool
+}
+
+// place orders the nodes to try for a request on stack with the given
+// spread hash: the stack's live ring owners first — rotated by the
+// spread, so a hot stack's traffic fans over all R replicas instead of
+// hammering the primary — then every other live node as a last resort.
+// The node that last served this exact fingerprint (its memo is warm)
+// moves to the front regardless of ring order. cands is scratch space
+// the result reuses.
+func (rt *Router) place(stack []byte, spread uint64, cands []*Node) placement {
+	owners := rt.f.ownersOf(stack)
+	p := placement{cands: cands[:0], affKey: hash64(stack) ^ spread}
 	if len(owners) > 0 {
 		rot := int(spread % uint64(len(owners)))
 		for i := range owners {
-			id := owners[(rot+i)%len(owners)]
-			if n, ok := rt.f.Node(id); ok && n.Live() {
-				seen[id] = true
-				out = append(out, n)
+			if n := owners[(rot+i)%len(owners)]; n.Live() {
+				p.cands = append(p.cands, n)
 			}
 		}
 	}
-	for _, n := range rt.f.LiveNodes() {
-		if !seen[n.ID] {
-			out = append(out, n)
+	for _, n := range rt.f.view.Load().nodes {
+		if n.Live() && !slices.Contains(owners, n) {
+			p.cands = append(p.cands, n)
 		}
 	}
-	return out
-}
-
-// spreadHash fingerprints one evaluation request so repeated identical
-// requests land on the same replica (maximizing memo locality) while
-// distinct requests for the same stack spread across its owners.
-func spreadHash(req *eisvc.EvalRequest) uint64 {
-	var b bytes.Buffer
-	b.WriteString(req.Method)
-	b.WriteByte('|')
-	b.WriteString(req.Mode)
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(req.Seed, 10))
-	b.WriteByte('|')
-	// encoding/json sorts map keys, so identical args marshal identically.
-	if raw, err := json.Marshal(req.Args); err == nil {
-		b.Write(raw)
-	}
-	if len(req.Fixed) > 0 {
-		if raw, err := json.Marshal(req.Fixed); err == nil {
-			b.Write(raw)
-		}
-	}
-	return hash64(b.String())
-}
-
-// --- handlers ---
-
-func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
-	rt.routed.Add(1)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		rt.badRequest(w, "read body: %v", err)
-		return
-	}
-	// Binary bodies route without re-encoding: decode once for placement,
-	// then forward the client's exact bytes. The decoded request carries
-	// the same Go value shapes as a JSON decode, so spreadHash agrees
-	// across codecs and a mixed JSON/binary client population still lands
-	// identical requests on the same replica.
-	var req eisvc.EvalRequest
-	if eisvc.IsBinaryContentType(r.Header.Get("Content-Type")) {
-		rq, err := eisvc.DecodeEvalRequest(body)
-		if err != nil {
-			rt.badRequest(w, "bad binary request body: %v", err)
-			return
-		}
-		req = *rq
-	} else if err := json.Unmarshal(body, &req); err != nil {
-		rt.badRequest(w, "bad request body: %v", err)
-		return
-	}
-
-	rt.routeAffine(w, r, body, req.Interface, spreadHash(&req), "eval of "+req.Interface)
-}
-
-// routeAffine forwards one request whose answer benefits from memo
-// locality: the stack's ring owners rotated by the request fingerprint,
-// except that the node which last served this exact fingerprint — its
-// memo is warm — goes first regardless of ring order. Failover follows
-// the usual candidate walk.
-func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byte, stack string, spread uint64, what string) {
-	cands := rt.candidatesFor(stack, spread)
-	affKey := hash64(stack) ^ spread
-	affID, affKnown := rt.aff.get(affKey)
-	if affKnown {
-		for i, n := range cands {
-			if n.ID == affID {
-				if i > 0 {
-					copy(cands[1:i+1], cands[0:i])
-					cands[0] = n
-				}
+	if id, ok := rt.aff.get(p.affKey); ok {
+		for i, n := range p.cands {
+			if n.ID == id {
+				copy(p.cands[1:i+1], p.cands[0:i])
+				p.cands[0] = n
+				p.warm = true
 				break
 			}
 		}
 	}
-	ok := rt.tryCandidates(w, r, body, cands, func(n *Node) {
-		if affKnown && n.ID == affID {
+	return p
+}
+
+// placeEval places one framed evaluation. Its spread hash covers the
+// method, mode, seed, and the frame's canonical argument bytes, so
+// repeated identical requests land on the same replica (maximizing memo
+// locality) while distinct requests for the same stack spread across its
+// owners. The splitmix finalizer matters: raw FNV low bits do not spread
+// over R=2 owners.
+func (rt *Router) placeEval(f *eisvc.EvalFrame, cands []*Node) placement {
+	var seed [8]byte
+	for i := range seed {
+		seed[i] = byte(f.Seed >> (8 * i))
+	}
+	h := fnv1a(fnvOffset, f.Method)
+	h = fnv1a(h, "|")
+	h = fnv1a(h, f.Mode)
+	h = fnv1a(h, "|")
+	h = fnv1a(h, seed[:])
+	h = fnv1a(h, f.Canon)
+	return rt.place(f.Interface, mix64(h), cands)
+}
+
+// --- handlers ---
+
+// scanEval reads one eval request body and frames it: a binary body is
+// scanned in place, a JSON body decoded and framed once into buf. A
+// false return means the 400 was written.
+func (rt *Router) scanEval(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (body []byte, f eisvc.EvalFrame, ok bool) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		rt.badRequest(w, "read body: %v", err)
+		return nil, f, false
+	}
+	if eisvc.IsBinaryContentType(r.Header.Get("Content-Type")) {
+		if f, err = eisvc.ScanEvalRequest(body); err != nil {
+			rt.badRequest(w, "bad binary request body: %v", err)
+			return nil, f, false
+		}
+		return body, f, true
+	}
+	var req eisvc.EvalRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		rt.badRequest(w, "bad request body: %v", err)
+		return nil, f, false
+	}
+	if f, err = eisvc.FrameEvalRequest(buf, &req); err != nil {
+		rt.badRequest(w, "bad request body: %v", err)
+		return nil, f, false
+	}
+	return body, f, true
+}
+
+// handleEval places an eval from its frame and forwards the client's
+// exact bytes: the router never decodes a binary request.
+func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
+	rt.routed.Add(1)
+	buf := eisvc.GetBuffer()
+	defer eisvc.PutBuffer(buf)
+	body, f, ok := rt.scanEval(w, r, buf)
+	if !ok {
+		return
+	}
+	var scratch [8]*Node
+	if !rt.routeAffine(w, r, body, rt.placeEval(&f, scratch[:])) {
+		rt.writeExhausted(w, "eval of "+string(f.Interface))
+	}
+}
+
+// routeAffine forwards one request whose answer benefits from memo
+// locality along its placement, recording which node served it. It
+// returns false when no candidate could serve.
+func (rt *Router) routeAffine(w http.ResponseWriter, r *http.Request, body []byte, p placement) bool {
+	return rt.tryCandidates(w, r, body, p.cands, func(n *Node) {
+		if p.warm && n == p.cands[0] {
 			rt.affinityHits.Add(1)
 		}
-		rt.aff.put(affKey, n.ID)
+		rt.aff.put(p.affKey, n.ID)
 	})
-	if !ok {
-		rt.writeExhausted(w, what)
-	}
 }
 
 // handleOptimize routes a whole auto-optimizer sweep to one node — the
@@ -295,13 +316,15 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		rt.badRequest(w, "bad request body: %v", err)
 		return
 	}
-	rt.routeAffine(w, r, body, req.Interface, optimizeSpread(&req), "optimize of "+req.Interface)
+	if !rt.routeAffine(w, r, body, rt.place([]byte(req.Interface), optimizeSpread(&req), nil)) {
+		rt.writeExhausted(w, "optimize of "+req.Interface)
+	}
 }
 
-// optimizeSpread fingerprints a sweep the way spreadHash fingerprints
-// an eval: identical sweeps land on the same replica, distinct sweeps
-// over the same stack spread across its owners. The binary decoder
-// yields the same field values as a JSON decode, so codecs agree.
+// optimizeSpread fingerprints a sweep the way placeEval fingerprints an
+// eval: identical sweeps land on the same replica, distinct sweeps over
+// the same stack spread across its owners. The binary decoder yields the
+// same field values as a JSON decode, so codecs agree.
 func optimizeSpread(req *eisvc.OptimizeRequest) uint64 {
 	var b bytes.Buffer
 	b.WriteString(req.EnergyMethod)
@@ -319,11 +342,11 @@ func optimizeSpread(req *eisvc.OptimizeRequest) uint64 {
 	return hash64(b.String())
 }
 
-// handleEvalBatch splits a batch by each item's preferred node and
-// forwards the sub-batches concurrently, stitching results back in
-// request order. A sub-batch whose preferred node fails retries on the
-// shared candidate list, so a mid-batch node kill surfaces as latency,
-// not errors.
+// handleEvalBatch splits a batch by each item's first-choice node — the
+// same placement a single /v1/eval of the item gets — and forwards the
+// sub-batches concurrently, stitching results back in request order. A
+// sub-batch whose preferred node fails retries on the shared candidate
+// list, so a mid-batch node kill surfaces as latency, not errors.
 func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 	rt.routed.Add(1)
 	raw, err := io.ReadAll(r.Body)
@@ -331,61 +354,70 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		rt.badRequest(w, "read body: %v", err)
 		return
 	}
-	// Sub-batches re-encode in the inbound codec, so binary clients stay
-	// binary hop to hop and JSON clients stay debuggable end to end.
+	// Sub-batches keep the inbound codec, so binary clients stay binary
+	// hop to hop and JSON clients stay debuggable end to end. A binary
+	// sub-batch is the items' own bytes, never re-encoded.
 	binary := eisvc.IsBinaryContentType(r.Header.Get("Content-Type"))
 	var req eisvc.BatchEvalRequest
+	var frames []eisvc.EvalFrame
 	if binary {
-		rq, err := eisvc.DecodeBatchEvalRequest(raw)
-		if err != nil {
+		if frames, err = eisvc.ScanBatchEvalRequest(raw); err != nil {
 			rt.badRequest(w, "bad binary request body: %v", err)
 			return
 		}
-		req = *rq
-	} else if err := json.Unmarshal(raw, &req); err != nil {
-		rt.badRequest(w, "bad request body: %v", err)
-		return
+	} else {
+		if err := json.Unmarshal(raw, &req); err != nil {
+			rt.badRequest(w, "bad request body: %v", err)
+			return
+		}
+		buf := eisvc.GetBuffer()
+		defer eisvc.PutBuffer(buf)
+		if frames, err = eisvc.FrameBatchEvalRequest(buf, &req); err != nil {
+			rt.badRequest(w, "bad request body: %v", err)
+			return
+		}
 	}
-	if len(req.Requests) == 0 {
+	if len(frames) == 0 {
 		rt.badRequest(w, "empty batch")
 		return
 	}
 
-	// Group item indices by preferred node ID. Items for unknown stacks or
-	// an empty ring fall into the "" group and ride with any live node.
+	// Group item indices by first-choice node ID. With no live node the
+	// items fall into the "" group, which fails over like any other.
 	groups := map[string][]int{}
-	for i := range req.Requests {
-		it := &req.Requests[i]
+	var scratch [8]*Node
+	for i := range frames {
 		pref := ""
-		if owners := rt.f.OwnersOf(it.Interface); len(owners) > 0 {
-			pref = owners[spreadHash(it)%uint64(len(owners))]
+		if p := rt.placeEval(&frames[i], scratch[:]); len(p.cands) > 0 {
+			pref = p.cands[0].ID
 		}
 		groups[pref] = append(groups[pref], i)
 	}
 
-	results := make([]eisvc.BatchEvalItem, len(req.Requests))
+	results := make([]eisvc.BatchEvalItem, len(frames))
 	var wg sync.WaitGroup
 	for pref, idxs := range groups {
 		wg.Add(1)
 		go func(pref string, idxs []int) {
 			defer wg.Done()
-			sub := eisvc.BatchEvalRequest{Requests: make([]eisvc.EvalRequest, len(idxs))}
-			for j, i := range idxs {
-				sub.Requests[j] = req.Requests[i]
-			}
 			var body []byte
 			if binary {
+				sub := make([]eisvc.EvalFrame, len(idxs))
+				for j, i := range idxs {
+					sub[j] = frames[i]
+				}
 				buf := eisvc.GetBuffer()
 				defer eisvc.PutBuffer(buf)
-				if err := eisvc.EncodeBatchEvalRequest(buf, &sub); err != nil {
-					rt.failGroup(results, idxs, &req, "encode sub-batch: "+err.Error())
-					return
-				}
+				eisvc.EncodeBatchFrames(buf, sub)
 				body = buf.Bytes()
 			} else {
+				sub := eisvc.BatchEvalRequest{Requests: make([]eisvc.EvalRequest, len(idxs))}
+				for j, i := range idxs {
+					sub.Requests[j] = req.Requests[i]
+				}
 				b, err := json.Marshal(sub)
 				if err != nil {
-					rt.failGroup(results, idxs, &req, "marshal sub-batch: "+err.Error())
+					failGroup(results, idxs, frames, "marshal sub-batch: "+err.Error())
 					return
 				}
 				body = b
@@ -393,7 +425,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 			items, ok := rt.forwardBatch(r, pref, body, len(idxs))
 			if !ok {
 				rt.exhausted.Add(1)
-				rt.failGroup(results, idxs, &req, "fleet: no node could serve batch")
+				failGroup(results, idxs, frames, "fleet: no node could serve batch")
 				return
 			}
 			for j, i := range idxs {
@@ -407,7 +439,7 @@ func (rt *Router) handleEvalBatch(w http.ResponseWriter, r *http.Request) {
 		buf := eisvc.GetBuffer()
 		defer eisvc.PutBuffer(buf)
 		if err := eisvc.EncodeBatchEvalResponse(buf, &out); err == nil {
-			w.Header().Set("Content-Type", eisvc.BinaryContentType)
+			w.Header()["Content-Type"] = binaryContentType
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(buf.Bytes())
 			return
@@ -468,11 +500,11 @@ func (rt *Router) forwardBatch(r *http.Request, pref string, body []byte, want i
 
 // failGroup marks every item of a failed sub-batch as 503 so callers can
 // retry item-by-item.
-func (rt *Router) failGroup(results []eisvc.BatchEvalItem, idxs []int, req *eisvc.BatchEvalRequest, msg string) {
+func failGroup(results []eisvc.BatchEvalItem, idxs []int, frames []eisvc.EvalFrame, msg string) {
 	for _, i := range idxs {
 		results[i] = eisvc.BatchEvalItem{
-			Interface: req.Requests[i].Interface,
-			Method:    req.Requests[i].Method,
+			Interface: string(frames[i].Interface),
+			Method:    string(frames[i].Method),
 			Status:    http.StatusServiceUnavailable,
 			Error:     msg,
 		}
@@ -534,8 +566,14 @@ func (rt *Router) badRequest(w http.ResponseWriter, format string, args ...any) 
 	writeJSON(w, http.StatusBadRequest, eisvc.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// Shared Content-Type values for the router's own answers.
+var (
+	jsonContentType   = []string{"application/json"}
+	binaryContentType = []string{eisvc.BinaryContentType}
+)
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
